@@ -227,7 +227,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: api}
+	srv := newAPIServer(*addr, api, *reqTimeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("serving on %s (batch ≤%d, timeout %v, queue %d, %d worker(s), %d replica(s))",
@@ -250,6 +250,27 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 		log.Printf("drained; unloading models")
+	}
+}
+
+// Connection timeouts of the API listener. Predict bodies are decoded as
+// they stream in, so a client trickling its body holds a handler: the
+// read deadline (-request-timeout) bounds the whole request, these bound
+// a slow header and an idle keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newAPIServer builds the API listener's server with its slow-client
+// bounds set.
+func newAPIServer(addr string, h http.Handler, requestTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       requestTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

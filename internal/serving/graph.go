@@ -11,7 +11,6 @@ package serving
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -341,45 +340,5 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, spec
 			return
 		}
 	}
-	preds := make([]any, len(outs))
-	for i, out := range outs {
-		preds[i] = out.Render()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"predictions": preds})
-}
-
-// decodePredict parses the shared predict wire format and stamps the
-// X-Request-ID response header. ok=false means the error response was
-// already written.
-func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request) ([]Instance, string, bool) {
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body: " + err.Error()})
-		return nil, "", false
-	}
-	if len(req.Instances) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "no instances in request"})
-		return nil, "", false
-	}
-	insts := make([]Instance, len(req.Instances))
-	for i, raw := range req.Instances {
-		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return nil, "", false
-		}
-		inst, err := ParseInstance(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return nil, "", false
-		}
-		insts[i] = inst
-	}
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = generateRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	return insts, reqID, true
+	writePredictions(w, outs)
 }

@@ -385,46 +385,12 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, base, ver
 	writeJSON(w, http.StatusOK, st)
 }
 
-// predictRequest is the KServe V1 request body.
-type predictRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res RouteResult) {
 	m := res.Model
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body: " + err.Error()})
+	insts, reqID, ok := s.decodePredict(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Instances) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "no instances in request"})
-		return
-	}
-	insts := make([]Instance, len(req.Instances))
-	for i, raw := range req.Instances {
-		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return
-		}
-		inst, err := ParseInstance(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return
-		}
-		insts[i] = inst
-	}
-
-	// Trace ID: honor the caller's X-Request-ID, mint one otherwise, and
-	// echo it on the response so the caller can correlate this HTTP
-	// exchange with the request's stage events in /debug/trace.
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = generateRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
 	// Which version served this, and why — the observable half of a
 	// canary rollout.
 	w.Header().Set("X-Serving-Model", m.Name())
@@ -486,11 +452,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 			return
 		}
 	}
-	preds := make([]any, len(outs))
-	for i, out := range outs {
-		preds[i] = out.Render()
+	writePredictions(w, outs)
+}
+
+// decodePredict reads the predict body in one streaming pass and stamps
+// the X-Request-ID response header — honored from the inbound request or
+// minted here — so the caller can correlate this HTTP exchange with the
+// request's stage events in /debug/trace. ok=false means the 400 was
+// already written.
+func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request) ([]Instance, string, bool) {
+	insts, err := decodeInstances(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return nil, "", false
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"predictions": preds})
+	reqID := r.Header.Get("X-Request-ID")
+	if reqID == "" {
+		reqID = generateRequestID()
+	}
+	w.Header().Set("X-Request-ID", reqID)
+	return insts, reqID, true
 }
 
 // writePredictError maps a predict error to its status, attaching the
