@@ -227,7 +227,7 @@ func main() {
 		}()
 	}
 
-	srv := newAPIServer(*addr, api, *reqTimeout)
+	srv := newAPIServer(*addr, api)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("serving on %s (batch ≤%d, timeout %v, queue %d, %d worker(s), %d replica(s))",
@@ -253,10 +253,11 @@ func main() {
 	}
 }
 
-// Connection timeouts of the API listener. Predict bodies are decoded as
-// they stream in, so a client trickling its body holds a handler: the
-// read deadline (-request-timeout) bounds the whole request, these bound
-// a slow header and an idle keep-alive connection.
+// Connection timeouts of the API listener: a slow header and an idle
+// keep-alive connection. A predict body is decoded as it streams in, so a
+// client trickling it holds a handler; the serving handlers bound that
+// with a read deadline of their own around the body read, which leaves
+// -request-timeout to mean one thing, the model-side deadline.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -264,12 +265,11 @@ const (
 
 // newAPIServer builds the API listener's server with its slow-client
 // bounds set.
-func newAPIServer(addr string, h http.Handler, requestTimeout time.Duration) *http.Server {
+func newAPIServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       requestTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -267,11 +267,9 @@ func (s *scheduler) runGroup(group []*request) {
 	}
 
 	for i, r := range group {
-		if err != nil {
-			r.resp <- response{err: err}
-		} else {
-			r.resp <- response{inst: outs[i]}
-		}
+		// A request's trace events go out before its response: once the
+		// submitter has the response its handler can finish, and a trace
+		// read after that must already hold the whole request.
 		end := time.Now()
 		splitMS := durMS(execEnd, end)
 		s.metrics.ObserveStage("split", splitMS)
@@ -285,6 +283,11 @@ func (s *scheduler) runGroup(group []*request) {
 				Trace: r.trace, FlowID: r.flow, Start: r.enqueued,
 				DurMS: durMS(r.enqueued, end),
 			})
+		}
+		if err != nil {
+			r.resp <- response{err: err}
+		} else {
+			r.resp <- response{inst: outs[i]}
 		}
 	}
 }

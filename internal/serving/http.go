@@ -20,6 +20,12 @@ import (
 // maxBodyBytes bounds a predict request body (64 MiB of JSON).
 const maxBodyBytes = 64 << 20
 
+// bodyReadTimeout bounds how long a client may take to send a predict
+// body. The body is decoded as it arrives, so a client trickling it holds
+// a handler; past this deadline the read fails with a 400. A variable
+// only so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
 // Server exposes a Registry over the KServe-V1-style HTTP surface:
 //
 //	GET  /v1/models                     → {"models": [...]}
@@ -460,7 +466,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 // minted here — so the caller can correlate this HTTP exchange with the
 // request's stage events in /debug/trace. ok=false means the 400 was
 // already written.
+//
+// The body read runs under a read deadline of bodyReadTimeout, which is
+// left in place: net/http clears it itself when the body reaches EOF (it
+// then starts its own background read, whose failure would cancel
+// r.Context()), so it never reaches the model run; and when the decoder
+// stops before EOF, it still bounds the server's discard of the unread
+// rest after the handler. A writer without deadline support
+// (ErrNotSupported) is read without one.
 func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request) ([]Instance, string, bool) {
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	insts, err := decodeInstances(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})

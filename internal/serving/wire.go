@@ -533,21 +533,32 @@ func (d *predictDecoder) str(keep bool) error {
 // number parses the number at d.pos. inRange is false for a valid
 // number beyond float64's range, which ParseFloat rejects.
 func (d *predictDecoder) number() (f float64, inRange bool, err error) {
+	// Find the end of the token before parsing it. A refill keeps the
+	// token's bytes, so the scan resumes where it stopped and every byte
+	// is looked at once, however finely the body is split into reads.
+	n := 0
 	for {
-		n, f, st := parseNumber(d.buf[d.pos:d.end], d.rerr != nil)
-		switch st {
-		case numMore:
-			d.fill() // on failure d.rerr is set, and the next parse is final
-			continue
-		case numBad:
-			if d.pos+n < d.end {
-				return 0, false, d.syntaxAt(d.buf[d.pos+n], "in numeric literal")
-			}
-			return 0, false, d.eof()
+		for d.pos+n < d.end && isNumberByte(d.buf[d.pos+n]) {
+			n++
 		}
-		d.pos += n
-		return f, st == numOK, nil
+		if d.pos+n < d.end || !d.fill() {
+			break
+		}
 	}
+	n, f, st := parseNumber(d.buf[d.pos:d.end])
+	if st == numBad {
+		if d.pos+n < d.end {
+			return 0, false, d.syntaxAt(d.buf[d.pos+n], "in numeric literal")
+		}
+		return 0, false, d.eof()
+	}
+	d.pos += n
+	return f, st == numOK, nil
+}
+
+// isNumberByte reports whether c can appear in a JSON number.
+func isNumberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 type numStatus uint8
@@ -556,112 +567,54 @@ const (
 	numOK    numStatus = iota
 	numRange           // a valid number beyond float64's range
 	numBad             // not a JSON number
-	numMore            // ran into the end of the bytes before the end of the input
 )
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// parseNumber parses the JSON number
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at the start of b and
-// returns its length and strconv.ParseFloat(token, 64). A token that
-// reaches the end of b reports numMore unless final says the input ends
-// there. When the decimal significand fits in 53 bits and the power of
-// ten is at most 22, one float64 multiply or divide of two exact values
-// gives the correctly rounded result ParseFloat also returns; any other
-// number goes to ParseFloat.
-func parseNumber(b []byte, final bool) (int, float64, numStatus) {
-	short := func(i int) (int, float64, numStatus) {
-		if i == len(b) && !final {
-			return i, 0, numMore
+// parseNumber checks the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at the start of b, whose
+// end is the end of the input, and returns the token's length and
+// strconv.ParseFloat(token, 64). The grammar check comes first because
+// ParseFloat also takes forms JSON does not, such as ".5", "+1", "inf"
+// and hex.
+func parseNumber(b []byte) (int, float64, numStatus) {
+	digits := func(i int) int {
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
 		}
-		return i, 0, numBad
+		return i
 	}
-	var mant uint64
-	exp, nd, i := 0, 0, 0 // power of ten, significant digits in mant
-	exact := true         // no non-zero digit dropped from mant
+	i := 0
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	switch {
-	case i == len(b):
-		return short(i)
-	case b[i] == '0':
+	case i < len(b) && b[i] == '0':
 		i++
-	case '1' <= b[i] && b[i] <= '9':
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			if nd < 19 {
-				mant = mant*10 + uint64(b[i]-'0')
-				nd++
-			} else {
-				exp++
-				exact = exact && b[i] == '0'
-			}
-		}
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(i)
 	default:
 		return i, 0, numBad
 	}
 	if i < len(b) && b[i] == '.' {
-		i++
-		j := i
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			if nd < 19 {
-				mant = mant*10 + uint64(b[i]-'0')
-				exp--
-				if mant != 0 {
-					nd++
-				}
-			} else {
-				exact = exact && b[i] == '0'
-			}
+		j := digits(i + 1)
+		if j == i+1 {
+			return j, 0, numBad
 		}
-		if i == j {
-			return short(i)
-		}
+		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j, e := i, 0
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			if e < 1e6 { // beyond this the result is 0 or out of range anyway
-				e = e*10 + int(b[i]-'0')
-			}
+		j := digits(i)
+		if j == i {
+			return j, 0, numBad
 		}
-		if i == j {
-			return short(i)
-		}
-		if neg {
-			e = -e
-		}
-		exp += e
+		i = j
 	}
-	if i == len(b) && !final {
-		return i, 0, numMore
-	}
-	var f float64
-	switch {
-	case mant == 0:
-	case exact && mant < 1<<53 && -22 <= exp && exp <= 22:
-		f = float64(mant)
-		if exp < 0 {
-			f /= pow10[-exp]
-		} else {
-			f *= pow10[exp]
-		}
-	default:
-		f, err := strconv.ParseFloat(string(b[:i]), 64)
-		if err != nil {
-			return i, 0, numRange
-		}
-		return i, f, numOK
-	}
-	if b[0] == '-' {
-		f = -f
+	f, err := strconv.ParseFloat(string(b[:i]), 64)
+	if err != nil {
+		return i, 0, numRange
 	}
 	return i, f, numOK
 }
@@ -723,16 +676,20 @@ func (d *predictDecoder) next() (byte, error) {
 }
 
 // fill slides the unread bytes to the front of the window and reads
-// more, growing the window only when one token fills it. It reports
+// more, growing the window only when one token fills it. Only a number
+// token keeps its bytes across a refill, and once at the front they stay
+// put, so a long token costs one slide and the doublings. It reports
 // whether any byte arrived; a read error is kept for eof.
 func (d *predictDecoder) fill() bool {
 	if d.rerr != nil {
 		return false
 	}
-	d.end = copy(d.buf, d.buf[d.pos:d.end])
-	d.pos = 0
+	if d.pos > 0 {
+		d.end = copy(d.buf, d.buf[d.pos:d.end])
+		d.pos = 0
+	}
 	if d.end == len(d.buf) {
-		d.buf = append(d.buf, make([]byte, len(d.buf))...)
+		d.buf = slices.Grow(d.buf, len(d.buf))[:2*len(d.buf)]
 	}
 	for {
 		n, err := d.r.Read(d.buf[d.end:])

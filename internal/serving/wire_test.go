@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -8,13 +9,16 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // legacyDecode is the predict-body pipeline the streaming decoder
@@ -195,6 +199,37 @@ func TestDecodeLongToken(t *testing.T) {
 	}
 }
 
+// chunkReader hands out at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// TestDecodeLongTokenTrickled decodes a 4 MiB number that arrives 256
+// bytes per read. Each byte of the token must be scanned a bounded number
+// of times: a decoder that re-parses the token after every refill scans
+// about 32 GiB here and takes tens of seconds, a linear one milliseconds.
+func TestDecodeLongTokenTrickled(t *testing.T) {
+	const digits = 4 << 20
+	body := `{"instances": [[0.` + strings.Repeat("3", digits) + `, 2]]}`
+	start := time.Now()
+	got, err := decodeInstances(chunkReader{strings.NewReader(body), 256})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{float32(1.0 / 3), 2}; len(got) != 1 || !slices.Equal(got[0].Values, want) {
+		t.Fatalf("decoded %v, want one instance %v", got, want)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("decoding a %d-byte token in 256-byte reads took %v", digits, elapsed)
+	}
+}
+
 // TestDecoderReuseAfterError reuses one decoder the way the pool does:
 // a body that fails inside a skipped value must not leave state that
 // grows with every malformed request.
@@ -290,6 +325,76 @@ func TestMalformedPredictBodies(t *testing.T) {
 	}
 }
 
+// rawPost writes head and body to a fresh connection to addr and returns
+// the response status, its body and whether the server closes the
+// connection after it.
+func rawPost(t *testing.T, addr, head, body string) (int, string, bool) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(c, head+body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(data), resp.Close
+}
+
+// TestPredictBodyReadDeadline shortens the body read bound and checks the
+// three ways a client can meet it: a body that stalls gets a 400 at the
+// deadline; a model run longer than the deadline still answers 200,
+// because the deadline never reaches it; and a valid object followed by
+// stalled trailing bytes is answered, on a connection then closed, rather
+// than holding the handler in the server's discard of the rest.
+func TestPredictBodyReadDeadline(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 300 * time.Millisecond
+	slow := runnerFunc(func(batch []Instance) ([]Instance, error) {
+		time.Sleep(2 * bodyReadTimeout)
+		return batch, nil
+	})
+	m := stubModel("slow", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8, RequestTimeout: 10 * time.Second}, slow)
+	defer m.unload()
+	reg := NewRegistry()
+	reg.install(m)
+	api := NewServer(reg)
+	defer api.Close()
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	addr := srv.Listener.Addr().String()
+	const post = "POST /v1/models/slow:predict HTTP/1.1\r\nHost: x\r\nContent-Length: "
+	body := `{"instances": [[1, 2]]}`
+
+	start := time.Now()
+	code, data, _ := rawPost(t, addr, post+"100\r\n\r\n", `{"instances": [[1,`)
+	if code != http.StatusBadRequest || !strings.Contains(data, "timeout") {
+		t.Errorf("stalled body: status %d body %q, want 400 naming the timeout", code, data)
+	}
+	if elapsed := time.Since(start); elapsed > 5*bodyReadTimeout {
+		t.Errorf("stalled body answered after %v, deadline %v", elapsed, bodyReadTimeout)
+	}
+	if code, data, _ = rawPost(t, addr, post+strconv.Itoa(len(body))+"\r\n\r\n", body); code != http.StatusOK {
+		t.Errorf("model run past the body deadline: status %d body %q, want 200", code, data)
+	}
+	code, data, closed := rawPost(t, addr, post+"100\r\n\r\n", body+"  ")
+	if code != http.StatusOK || !closed {
+		t.Errorf("stalled trailing bytes: status %d body %q closed %v, want 200 and a closed connection", code, data, closed)
+	}
+}
+
 // TestNonFinitePredictionIs500 covers an output JSON cannot carry: the
 // server must answer 500 with a JSON error on both predict endpoints,
 // not 200 with an empty body.
@@ -371,42 +476,32 @@ func TestPredictionsMatchJSONEncoder(t *testing.T) {
 	}
 }
 
-// TestParseNumberMatchesParseFloat checks parseNumber bit for bit
-// against strconv.ParseFloat at float64 precision, on random numbers
-// that cross its exact-path limits: long significands, dropped digits,
-// leading and trailing zeros, and powers of ten on both sides of 22.
-func TestParseNumberMatchesParseFloat(t *testing.T) {
+// TestParseNumberGrammar checks parseNumber against json.Valid on short
+// random strings of number bytes: it takes a whole string exactly when
+// that string is one JSON number, any prefix it stops at is one, and the
+// value is strconv.ParseFloat's.
+func TestParseNumberGrammar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	digits := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = "0123456789"[rng.Intn(10)]
-			if rng.Intn(4) == 0 {
-				b[i] = '0'
-			}
-		}
-		return string(b)
-	}
+	const alphabet = "0123456789-+.eE"
+	b := make([]byte, 0, 8)
 	for i := 0; i < 200000; i++ {
-		tok := ""
-		if rng.Intn(2) == 0 {
-			tok = "-"
+		b = b[:0]
+		for n := 1 + rng.Intn(8); len(b) < n; {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
 		}
-		if rng.Intn(4) == 0 {
-			tok += "0"
-		} else {
-			tok += string("123456789"[rng.Intn(9)]) + digits(rng.Intn(24))
+		n, f, st := parseNumber(b)
+		if whole := st != numBad && n == len(b); whole != json.Valid(b) {
+			t.Fatalf("parseNumber(%q) = %d, %v; json.Valid = %v", b, n, st, json.Valid(b))
 		}
-		if rng.Intn(2) == 0 {
-			tok += "." + digits(1+rng.Intn(24))
+		if st == numBad {
+			continue
 		}
-		if rng.Intn(2) == 0 {
-			tok += "e" + strconv.Itoa(rng.Intn(80)-40)
+		if !json.Valid(b[:n]) {
+			t.Fatalf("parseNumber(%q) stopped after %q, not a JSON number", b, b[:n])
 		}
-		want, err := strconv.ParseFloat(tok, 64)
-		n, got, st := parseNumber([]byte(tok+","), false)
-		if err != nil || n != len(tok) || st != numOK || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseNumber(%q) = %d, %v, %v; ParseFloat = %v, %v", tok, n, got, st, want, err)
+		want, err := strconv.ParseFloat(string(b[:n]), 64)
+		if (err == nil) != (st == numOK) || st == numOK && math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("parseNumber(%q) = %v, %v; ParseFloat = %v, %v", b, f, st, want, err)
 		}
 	}
 }
